@@ -52,37 +52,25 @@ let a64fx = Runtime.Machine.a64fx
    benchmarks degraded and how far"). *)
 let degradations : (string * string) list ref = ref []
 
-let deepest_rung (r : Core.Passmgr.report) : string =
-  if r.Core.Passmgr.fell_back then "no-opt-fallback"
-  else if
-    List.exists
-      (fun (d : Core.Passmgr.degradation) ->
-        d.Core.Passmgr.recovered_to = Core.Passmgr.No_mincut)
-      r.Core.Passmgr.degradations
-  then "no-mincut"
-  else if r.Core.Passmgr.degradations <> [] then "skip"
-  else "full"
-
 let build_polygeist ?(name = "?") ?(cpuify = Core.Cpuify.default_options)
-    ?(omp = Core.Omp_lower.default_options) ?(affine = false) (src : string) :
-  Ir.Op.op =
+    ?omp ?(affine = false) (src : string) : Ir.Op.op =
   let m = Cudafe.Codegen.compile src in
   if affine then ignore (Core.Affine_opt.run m);
-  (match Core.Passmgr.run_pipeline ~options:cpuify m with
+  (match
+     Core.Passmgr.lower ~options:cpuify ?omp ~mode:Core.Passmgr.Inner_serial m
+   with
    | Ok report ->
      if Core.Passmgr.degraded report then
        degradations :=
          ( name,
            Printf.sprintf "degraded to %s (%d stage failure(s))"
-             (deepest_rung report)
+             (Core.Passmgr.rung_to_string (Core.Passmgr.deepest report))
              (List.length report.Core.Passmgr.failures) )
          :: !degradations
-   | Error (_, f) ->
+   | Error e ->
      failwith
        ("pipeline unrecoverable for " ^ name ^ ": "
-        ^ Core.Passmgr.failure_to_string f));
-  ignore (Core.Omp_lower.run ~options:omp m);
-  Core.Canonicalize.run m;
+        ^ Core.Passmgr.lower_error_to_string e));
   m
 
 let print_degradations () =
@@ -438,11 +426,10 @@ let robust () =
     ]
   in
   let short = function
-    | "full" -> "full"
-    | "no-mincut" -> "no-mc"
-    | "skip" -> "skip"
-    | "no-opt-fallback" -> "no-opt"
-    | s -> s
+    | Core.Passmgr.Primary -> "full"
+    | Core.Passmgr.No_mincut -> "no-mc"
+    | Core.Passmgr.Skip -> "skip"
+    | Core.Passmgr.Fallback -> "no-opt"
   in
   let checksum_of (m : Ir.Op.op) (b : Rodinia.Bench_def.t) : float =
     let w = b.mk_workload b.test_size in
@@ -460,8 +447,9 @@ let robust () =
       (* conservative baseline: what every degradation must still equal *)
       let baseline =
         let m = Cudafe.Codegen.compile b.cuda_src in
-        Core.Cpuify.run ~use_mincut:false m;
-        ignore (Core.Omp_lower.run m);
+        (match Core.Passmgr.lower ~mode:Core.Passmgr.No_opt m with
+         | Ok _ -> ()
+         | Error e -> failwith (Core.Passmgr.lower_error_to_string e));
         checksum_of m b
       in
       pr "%16s" b.name;
@@ -469,9 +457,10 @@ let robust () =
         (fun (_, faults) ->
           let m = Cudafe.Codegen.compile b.cuda_src in
           let cell =
-            match Core.Passmgr.run_pipeline ~faults m with
+            match
+              Core.Passmgr.lower ~faults ~mode:Core.Passmgr.Inner_serial m
+            with
             | Ok report ->
-              ignore (Core.Omp_lower.run m);
               let got = checksum_of m b in
               let close =
                 let scale =
@@ -480,7 +469,7 @@ let robust () =
                 Float.abs (baseline -. got) /. scale < 1e-4
               in
               if not close then incr mismatches;
-              short (deepest_rung report) ^ if close then "" else "!"
+              short (Core.Passmgr.deepest report) ^ if close then "" else "!"
             | Error _ -> "UNRECOVERABLE"
           in
           pr " %15s" cell)

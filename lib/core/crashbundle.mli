@@ -9,8 +9,8 @@
     source under the recorded options and fault plan reproduces the
     failure. *)
 
-(** Runtime-side configuration recorded since format v2, so runtime and
-    fuzz-oracle failures replay under the exact execution setup that
+(** Runtime-side configuration, recorded so runtime and fuzz-oracle
+    failures replay under the exact execution setup that
     produced them (plain strings/ints: Core does not depend on
     Runtime). *)
 type runtime_cfg =
@@ -22,7 +22,7 @@ type runtime_cfg =
   ; rtimeout_ms : int option
   }
 
-(** Serving-side job context recorded since format v3: wall-clock of the
+(** Serving-side job context: wall-clock of the
     failing attempt, retries already burned and the admission-queue
     depth at failure (plain ints: Core does not depend on Serve). *)
 type serve_cfg =
@@ -42,16 +42,14 @@ type t =
   ; options : Cpuify.options
   ; faults : Fault.plan
   ; runtime : runtime_cfg option
-    (** [None] in v1 bundles and pure pass-pipeline failures *)
-  ; serve : serve_cfg option
-    (** [None] in v1/v2 bundles and one-shot (non-daemon) failures *)
+    (** [None] for pure pass-pipeline failures *)
+  ; serve : serve_cfg option (** [None] for one-shot (non-daemon) failures *)
   ; source : string (** original CUDA translation unit *)
   ; ir_before : string (** pre-stage IR dump *)
   }
 
-(** The format version {!to_string}/{!write} emit (3).  {!of_string}
-    also accepts v2 bundles (no [serve] line) and v1 bundles (no
-    [runtime] line either). *)
+(** The format version {!to_string}/{!write} emit and {!of_string}
+    accepts (3); any other header is an [Error]. *)
 val current_version : int
 
 val to_string : t -> string

@@ -78,6 +78,14 @@ let plan_of_string (s : string) : (plan, string) result =
          (Ok [])
     |> Result.map List.rev
 
+(* The "runtime" stage is not a pass: its first entry fires inside the
+   parallel engine, as (inject_fault, inject_hang). *)
+let runtime_injection (p : plan) : bool * bool =
+  match List.assoc_opt "runtime" p with
+  | None -> (false, false)
+  | Some Hang -> (false, true)
+  | Some _ -> (true, false)
+
 (* Seeded random plan over the given stage names: 1-3 faults, any kind.
    Deterministic in [seed], for reproducible randomized testing. *)
 let random_plan ~(seed : int) (stages : string list) : plan =

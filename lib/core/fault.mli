@@ -33,6 +33,11 @@ val plan_to_string : plan -> string
 
 val plan_of_string : string -> (plan, string) result
 
+(** How the plan's first ["runtime"] entry reaches the parallel engine,
+    as [(inject_fault, inject_hang)]: [hang] parks a team rank until the
+    watchdog cancels the launch, every other kind raises mid-launch. *)
+val runtime_injection : plan -> bool * bool
+
 (** 1-3 faults over the given stage names, deterministic in [seed]. *)
 val random_plan : seed:int -> string list -> plan
 

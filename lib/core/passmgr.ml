@@ -116,6 +116,11 @@ let stage_fuel = 1_000_000
 
 exception Abort of stage_failure
 
+(* The ladder's last rung: cache-everything splitting, no optimizations. *)
+let no_opt_rung (m : Op.op) : (unit, string) result =
+  Result.map_error Cpuify.error_to_string
+    (Cpuify.run_result ~use_mincut:false ~budget:Cpuify.default_budget m)
+
 let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
     ?crash_dir ?(source = "") ?(repro = "") ?runtime (m : Op.op) :
   (report, report * stage_failure) result =
@@ -224,18 +229,15 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
   in
 
   (* Restore the pristine input and run the conservative lowering that
-     must always succeed: cache-everything splitting, no optimizations,
-     no fuel limit.  Fault injection still applies (stage name
-     "no-opt-fallback"), so tests can exercise the unrecoverable path. *)
+     must always succeed, with no fuel limit.  Fault injection still
+     applies (stage name "no-opt-fallback"), so tests can exercise the
+     unrecoverable path. *)
   let whole_pipeline_fallback ~stage_index (cause : stage_failure) : unit =
     Clone.restore ~into:m initial;
     match
       attempt ~stage:"no-opt-fallback" ~stage_index ~rung:Fallback
         (faulted ~stage:"no-opt-fallback" (fun m ->
-             Fuel.unlimited (fun () ->
-                 Result.map_error Cpuify.error_to_string
-                   (Cpuify.run_result ~use_mincut:false
-                      ~budget:Cpuify.default_budget m))))
+             Fuel.unlimited (fun () -> no_opt_rung m)))
     with
     | Ok () ->
       fell_back := true;
@@ -277,3 +279,73 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
   match List.iteri run_stage stages with
   | () -> Ok (mk_report ())
   | exception Abort f -> Error (mk_report (), f)
+
+let deepest (r : report) : rung =
+  if r.fell_back then Fallback
+  else if List.exists (fun d -> d.recovered_to = No_mincut) r.degradations
+  then No_mincut
+  else if r.degradations <> [] then Skip
+  else Primary
+
+(* --- the one lowering entry point --- *)
+
+type mode =
+  | Inner_serial
+  | Inner_parallel
+  | No_opt
+
+let modes =
+  [ ("inner-serial", Inner_serial)
+  ; ("inner-parallel", Inner_parallel)
+  ; ("no-opt", No_opt)
+  ]
+
+let mode_of_string (s : string) : mode option = List.assoc_opt s modes
+let mode_to_string (md : mode) : string =
+  fst (List.find (fun (_, x) -> x = md) modes)
+
+(* Fuel of the no-opt rung when it is the whole lowering: generous, so
+   only a diverging lowering hits it. *)
+let no_opt_fuel = 10_000_000
+
+type lower_error =
+  | Unrecoverable of report * stage_failure
+  | No_opt_failed of string
+  | Unverifiable of string
+
+let lower_error_to_string = function
+  | Unrecoverable (_, f) ->
+    "pipeline failed beyond recovery: " ^ failure_to_string f
+  | No_opt_failed e -> "cpuify: " ^ e
+  | Unverifiable e -> "internal error: lowered IR does not verify: " ^ e
+
+let lower ?options ?faults ?crash_dir ?source ?repro ?runtime ?omp
+    ~(mode : mode) (m : Op.op) : (report, lower_error) result =
+  let pipeline =
+    match mode with
+    | No_opt -> begin
+      match Fuel.with_budget no_opt_fuel (fun () -> no_opt_rung m) with
+      | Ok () ->
+        Ok { degradations = []; failures = []; fell_back = false; bundles = [] }
+      | Error e -> Error (No_opt_failed e)
+    end
+    | Inner_serial | Inner_parallel ->
+      Result.map_error
+        (fun (r, f) -> Unrecoverable (r, f))
+        (run_pipeline ?options ?faults ?crash_dir ?source ?repro ?runtime m)
+  in
+  Result.bind pipeline (fun report ->
+      (* after the whole-pipeline fallback the module is exactly the
+         no-opt lowering: keep the OpenMP step conservative too *)
+      let options =
+        match (omp, mode) with
+        | _ when report.fell_back -> Omp_lower.default_options
+        | Some o, _ -> o
+        | None, Inner_parallel -> Omp_lower.inner_par_options
+        | None, (Inner_serial | No_opt) -> Omp_lower.default_options
+      in
+      ignore (Omp_lower.run ~options m);
+      Canonicalize.run m;
+      match Verifier.verify_result m with
+      | Ok () -> Ok report
+      | Error e -> Error (Unverifiable e))

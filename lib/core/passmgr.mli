@@ -76,3 +76,59 @@ val run_pipeline :
   ?runtime:Crashbundle.runtime_cfg ->
   Ir.Op.op ->
   (report, report * stage_failure) result
+
+(** The deepest rung a report descended to: [Fallback] if the
+    whole-pipeline fallback engaged, else [No_mincut] if cpuify needed
+    its second rung, else [Skip] if any stage was skipped, else
+    [Primary]. *)
+val deepest : report -> rung
+
+(** {1 The one lowering entry point} *)
+
+(** The lowering recipe ([--cpuify]): the optimized ladder with
+    serialized or parallel inner regions, or the ladder's last rung
+    alone. *)
+type mode =
+  | Inner_serial
+  | Inner_parallel
+  | No_opt
+
+(** The recipes under their wire/CLI names: ["inner-serial"],
+    ["inner-parallel"], ["no-opt"]. *)
+val modes : (string * mode) list
+
+val mode_of_string : string -> mode option
+val mode_to_string : mode -> string
+
+(** Fuel budget of the no-opt rung when [mode] is [No_opt]. *)
+val no_opt_fuel : int
+
+type lower_error =
+  | Unrecoverable of report * stage_failure
+        (** even the whole-pipeline fallback failed *)
+  | No_opt_failed of string (** the [No_opt] rung could not lower *)
+  | Unverifiable of string (** the lowered module does not verify *)
+
+(** The one-line diagnostic the driver and the compile service print. *)
+val lower_error_to_string : lower_error -> string
+
+(** Lower a frontend module to verified OpenMP-dialect IR, in place:
+    the degradation ladder ({!run_pipeline}, whose optional arguments
+    these are), or for [No_opt] its last rung alone under
+    {!no_opt_fuel} (faults and crash bundles do not apply); then
+    {!Omp_lower}, {!Canonicalize} and the verifier.  This is the only
+    place the OpenMP options are chosen: [omp] when given, else those
+    of [mode] — and always the defaults once the whole-pipeline
+    fallback engaged, since the module is then the no-opt lowering.
+    @raise Fuel.Exhausted if the [No_opt] rung runs out of fuel. *)
+val lower :
+  ?options:Cpuify.options ->
+  ?faults:Fault.plan ->
+  ?crash_dir:string ->
+  ?source:string ->
+  ?repro:string ->
+  ?runtime:Crashbundle.runtime_cfg ->
+  ?omp:Omp_lower.options ->
+  mode:mode ->
+  Ir.Op.op ->
+  (report, lower_error) result

@@ -8,11 +8,11 @@ type t =
   ; name : string option
   }
 
-let counter = ref 0
+(* Atomic: concurrent serve lanes compile on separate domains, and two
+   of them must never hand out the same id. *)
+let counter = Atomic.make 0
 
-let fresh ?name typ =
-  incr counter;
-  { id = !counter; typ; name }
+let fresh ?name typ = { id = Atomic.fetch_and_add counter 1 + 1; typ; name }
 
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id

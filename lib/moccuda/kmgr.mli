@@ -28,7 +28,8 @@ type kernel_info =
   { kname : string
   ; kshape : int list
   ; krung : string
-        (** ["primary"], ["degraded:STAGE"] or ["fallback"], with
+        (** the deepest ladder rung ({!Core.Passmgr.deepest}: ["primary"],
+            ["skip"], ["no-mincut"] or ["no-opt-fallback"]), with
             ["+interp"] appended when the engine rejected the entry *)
   ; klaunches : int
   ; ksecs : float (** cumulative wall-clock inside launches *)

@@ -126,13 +126,15 @@ let shutdown (t : t) : int =
 let cached_pool : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let shutdown_cached () =
+let teardown_cached () : int =
   let cell = Domain.DLS.get cached_pool in
   match !cell with
-  | None -> ()
+  | None -> 0
   | Some p ->
     cell := None;
-    ignore (shutdown p)
+    shutdown p
+
+let shutdown_cached () = ignore (teardown_cached ())
 
 (* Tear down the calling domain's cached pool (tolerating wedged
    workers) and build a fresh one of the given size: the job fault wall
@@ -140,16 +142,9 @@ let shutdown_cached () =
    poisoned or a rank parked, so the next job starts from known-good
    domains. *)
 let rebuild ~(domains : int) : t * int =
-  let cell = Domain.DLS.get cached_pool in
-  let leaked =
-    match !cell with
-    | None -> 0
-    | Some p ->
-      cell := None;
-      shutdown p
-  in
+  let leaked = teardown_cached () in
   let p = create ~cached:true domains in
-  cell := Some p;
+  Domain.DLS.get cached_pool := Some p;
   (p, leaked)
 
 let get ~domains ~reuse : t =

@@ -51,9 +51,14 @@ val release : t -> unit
     is safe to call from a supervisor after a failed launch. *)
 val shutdown : t -> int
 
-(** Stop the calling domain's cached pool, if any, via {!shutdown}.
-    Executor lanes call this as they exit so their teams don't outlive
-    them; a wedged lane's pool is simply leaked with the lane. *)
+(** Stop the calling domain's cached pool, if any, via {!shutdown},
+    returning the number of leaked domains; the next {!get} builds a
+    fresh one. *)
+val teardown_cached : unit -> int
+
+(** {!teardown_cached}, ignoring the count.  Executor lanes call this as
+    they exit so their teams don't outlive them; a wedged lane's pool is
+    simply leaked with the lane. *)
 val shutdown_cached : unit -> unit
 
 (** [rebuild ~domains] tears down the calling domain's cached pool with

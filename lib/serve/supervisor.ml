@@ -1,23 +1,26 @@
 (* The job fault wall.
 
    [run_job] executes one compile(/run) job with exactly the one-shot
-   CLI's semantics (same pipeline, same degradation ladder, same exit
-   codes and output checksum) inside a supervision harness that the
-   one-shot driver does not need:
+   CLI's semantics — the same lowering entry point
+   ({!Core.Passmgr.lower}) and runtime rung ({!Runtime.Rung}), so the
+   same exit codes, log lines and output checksum — inside a
+   supervision harness that the one-shot driver does not need:
 
      - a wall-clock deadline enforced through {!Runtime.Watchdog}: the
        parallel engine gets the remaining budget as its cancel bound,
        and serving-layer hangs (the serve:hang fault) spin on the
        watchdog token instead of blocking forever;
-     - a fuel budget, so a diverging conservative lowering raises
+     - the no-opt rung's fuel budget ({!Core.Passmgr.no_opt_fuel}),
+       so a diverging conservative lowering raises
        {!Core.Fuel.Exhausted} instead of wedging the executor;
      - exception containment: NOTHING escapes [run_job] — every job
        death becomes a structured failure outcome plus a replayable
        rung="serve" crash bundle (format v3: duration, retry count,
        queue depth);
-     - pool hygiene: any failure after a parallel launch rebuilds the
-       process-wide domain pool ({!Runtime.Pool.rebuild}), so a
-       poisoned team never bleeds into the next job;
+     - pool hygiene: a parallel failure the runtime rung absorbs tears
+       the lane's pool down, and any job death after a launch rebuilds
+       it ({!Runtime.Pool.rebuild}), so a poisoned team never bleeds
+       into the next job — both are counted, with leaked domains;
      - retry with decorrelated-jitter backoff ({!Backoff}) for
        transient failure classes (timeouts, injected faults, corrupt
        artifacts) — deterministic failures are never retried;
@@ -65,45 +68,6 @@ let classify (e : exn) : Backoff.cls =
   | Corrupt_artifact | Core.Fuel.Exhausted _ ->
     Backoff.Transient
   | _ -> Backoff.Deterministic
-
-(* --- argument synthesis (shared with the one-shot CLI driver) --- *)
-
-(* Integer arguments come from the job's sizes; every pointer parameter
-   gets a buffer of the first size, filled with a deterministic pattern
-   so the output checksum is meaningful AND identical to the one-shot
-   CLI's.  Callers that retry execution must call this again: a failed
-   parallel run may have half-mutated the previous buffers. *)
-let make_args (f : Ir.Op.op) (sizes : int list) : Interp.Mem.rv list =
-  let default_n = match sizes with n :: _ -> n | [] -> 64 in
-  let sizes = ref sizes in
-  Array.to_list f.Ir.Op.regions.(0).rargs
-  |> List.map (fun (p : Ir.Value.t) ->
-      match p.Ir.Value.typ with
-      | Ir.Types.Memref { elem; _ } ->
-        if Ir.Types.is_float_dtype elem then
-          Interp.Mem.Buf
-            (Interp.Mem.of_float_array
-               (Array.init default_n (fun i ->
-                    float_of_int ((i * 7 mod 11) + 1) /. 3.0)))
-        else
-          Interp.Mem.Buf
-            (Interp.Mem.of_int_array
-               (Array.init default_n (fun i -> i * 13 mod 17)))
-      | Ir.Types.Scalar d when Ir.Types.is_int_dtype d -> begin
-        match !sizes with
-        | n :: rest ->
-          sizes := rest;
-          Interp.Mem.Int n
-        | [] -> Interp.Mem.Int default_n
-      end
-      | Ir.Types.Scalar _ -> Interp.Mem.Flt 1.0)
-
-let checksum_of_args (args : Interp.Mem.rv list) : string =
-  let bufs =
-    List.filter_map (function Interp.Mem.Buf b -> Some b | _ -> None) args
-    |> Array.of_list
-  in
-  Printf.sprintf "%.9g" (Interp.Mem.checksum bufs)
 
 (* --- circuit breaker --- *)
 
@@ -164,7 +128,6 @@ end
 
 type config =
   { deadline_ms : int (* per-job wall-clock budget; 0 disables *)
-  ; fuel : int (* fuel budget of the conservative lowering *)
   ; backoff : Backoff.policy
   ; crash_dir : string option
   ; breaker_threshold : int
@@ -174,7 +137,6 @@ type config =
 
 let default_config =
   { deadline_ms = 10_000
-  ; fuel = 10_000_000
   ; backoff = Backoff.default
   ; crash_dir = None
   ; breaker_threshold = 3
@@ -236,137 +198,16 @@ let repro_of_job (j : Proto.job) : string =
   Buffer.add_string b " (via polygeist-cpu serve)";
   Buffer.contents b
 
-(* --- one attempt: the CLI-equivalent execution --- *)
-
-let schedule_of_name = function
-  | "dynamic" -> Runtime.Schedule.Dynamic
-  | "guided" -> Runtime.Schedule.Guided
-  | _ -> Runtime.Schedule.Static
-
-(* Execute the job once, mirroring bin/polygeist_cpu.ml's build +
-   run_entry semantics: exit 0 = full, 1 = degraded (ladder rung or
-   runtime fallback), raise = the job died (exit 2 territory).
-   [launched] is set as soon as a parallel launch is attempted, so the
-   fault wall knows whether the domain pool needs a rebuild.
-   [remaining_ms] reports the deadline budget left (0 = no deadline). *)
-let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
-    ~(remaining_ms : unit -> int) ~(job : Proto.job) ~(plan : Core.Fault.plan)
-    : Proto.outcome =
-  let logb = Buffer.create 256 in
-  let logf fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string logb (s ^ "\n")) fmt
-  in
-  let m = Cudafe.Codegen.compile job.source in
-  let degraded = ref (conservative && job.mode <> "no-opt") in
-  if !degraded then
-    logf "circuit breaker tripped for this source: conservative no-opt lowering";
-  (* pipeline *)
-  (if conservative || job.mode = "no-opt" then begin
-     match
-       Core.Fuel.with_budget t.cfg.fuel (fun () ->
-           Core.Cpuify.run_result ~use_mincut:false m)
-     with
-     | Ok () -> ignore (Core.Omp_lower.run m)
-     | Error e -> failwith ("cpuify: " ^ Core.Cpuify.error_to_string e)
-   end
-   else begin
-     match
-       Core.Passmgr.run_pipeline ~faults:plan ~source:job.source
-         ~repro:(repro_of_job job) m
-     with
-     | Ok report ->
-       if Core.Passmgr.degraded report then begin
-         degraded := true;
-         logf "pipeline degraded:\n%s" (Core.Passmgr.report_to_string report)
-       end;
-       let omp_options =
-         if report.Core.Passmgr.fell_back then Core.Omp_lower.default_options
-         else if job.mode = "inner-parallel" then
-           Core.Omp_lower.inner_par_options
-         else Core.Omp_lower.default_options
-       in
-       ignore (Core.Omp_lower.run ~options:omp_options m)
-     | Error (_, f) ->
-       failwith
-         ("pipeline failed beyond recovery: "
-          ^ Core.Passmgr.failure_to_string f)
-   end);
-  Core.Canonicalize.run m;
-  (match Ir.Verifier.verify_result m with
-   | Ok () -> ()
-   | Error e -> failwith ("internal error: lowered IR does not verify: " ^ e));
-  (* execution *)
-  let checksum = ref "-" in
-  let runtime_degraded = ref false in
-  (match job.entry with
-   | None -> ()
-   | Some entry -> begin
-     match Ir.Op.find_func m entry with
-     | None -> failwith (Printf.sprintf "no function @%s in the module" entry)
-     | Some f ->
-       let serial () =
-         let args = make_args f job.sizes in
-         let _, stats = Interp.Eval.run m entry args in
-         logf "executed @%s: %d ops, %d loads, %d stores, %d barrier waits"
-           entry stats.Interp.Eval.ops stats.Interp.Eval.loads
-           stats.Interp.Eval.stores stats.Interp.Eval.barriers;
-         checksum := checksum_of_args args;
-         logf "output checksum @%s: %s" entry !checksum
-       in
-       if job.exec = "interp" || conservative then serial ()
-       else begin
-         let args = make_args f job.sizes in
-         let runtime_fault =
-           List.find_map
-             (fun (s, k) -> if s = "runtime" then Some k else None)
-             plan
-         in
-         let inject_hang = runtime_fault = Some Core.Fault.Hang in
-         let inject_fault = runtime_fault <> None && not inject_hang in
-         launched := true;
-         match
-           Runtime.Exec.run_module ~domains:job.domains
-             ~schedule:(schedule_of_name job.schedule) ~inject_fault
-             ~inject_hang ~timeout_ms:(remaining_ms ()) m entry args
-         with
-         | _, rstats ->
-           logf
-             "executed @%s: parallel runtime, %d domains, %d launches, %d \
-              barrier phases, %d domain spawns"
-             entry job.domains rstats.Runtime.Exec.launches
-             rstats.Runtime.Exec.barrier_phases
-             rstats.Runtime.Exec.domain_spawns;
-           checksum := checksum_of_args args;
-           logf "output checksum @%s: %s" entry !checksum
-         | exception (Runtime.Exec.Timeout _ as e) ->
-           (* the bound came from the job deadline: this is a job-level
-              timeout, not a degradable runtime hiccup *)
-           raise e
-         | exception e ->
-           (* CLI parity: a runtime failure is one more degradation
-              rung — rebuild the (possibly poisoned) pool, then re-run
-              on the serial interpreter with FRESH arguments *)
-           logf
-             "parallel runtime failed (%s); degrading to the serial \
-              interpreter"
-             (describe e);
-           let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-           t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-           t.stats.leaked_domains <- t.stats.leaked_domains + leaked;
-           runtime_degraded := true;
-           serial ()
-       end
-   end);
-  let exit_code = if !degraded || !runtime_degraded then 1 else 0 in
-  { Proto.exit_code
-  ; checksum = !checksum
-  ; cached = false
-  ; retries = 0
-  ; breaker = conservative
-  ; log = Buffer.contents logb
-  }
-
 (* --- the fault wall around one attempt --- *)
+
+(* Pool hygiene bookkeeping: every teardown of a lane's pool is counted,
+   with the wedged domains it had to leak. *)
+let count_teardown (t : t) ~(leaked : int) : unit =
+  t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
+  t.stats.leaked_domains <- t.stats.leaked_domains + leaked
+
+let rebuild_pool (t : t) ~(domains : int) : unit =
+  count_teardown t ~leaked:(snd (Runtime.Pool.rebuild ~domains))
 
 (* Run one attempt under the serve-level fault injection and the
    watchdog deadline.  Returns the outcome together with its sealed
@@ -418,7 +259,79 @@ let attempt (t : t) ~(conservative : bool) ~(launched : bool ref)
            done;
            raise (Runtime.Exec.Timeout deadline_ms)
        end);
-      let o = execute t ~conservative ~launched ~remaining_ms ~job ~plan in
+      let logb = Buffer.create 256 in
+      let log line = Buffer.add_string logb (line ^ "\n") in
+      let m = Cudafe.Codegen.compile job.source in
+      let requested =
+        Option.value (Core.Passmgr.mode_of_string job.mode)
+          ~default:Core.Passmgr.Inner_serial
+      in
+      let tripped = conservative && requested <> Core.Passmgr.No_opt in
+      if tripped then
+        log "circuit breaker tripped for this source: conservative no-opt \
+             lowering";
+      let degraded =
+        match
+          Core.Passmgr.lower ~faults:plan ~source:job.source
+            ~repro:(repro_of_job job)
+            ~mode:(if conservative then Core.Passmgr.No_opt else requested)
+            m
+        with
+        | Ok report ->
+          if Core.Passmgr.degraded report then
+            log ("pipeline degraded:\n" ^ Core.Passmgr.report_to_string report);
+          tripped || Core.Passmgr.degraded report
+        | Error e -> failwith (Core.Passmgr.lower_error_to_string e)
+      in
+      let checksum, runtime_degraded =
+        match job.entry with
+        | None -> ("-", false)
+        | Some entry -> begin
+          let parallel = job.exec <> "interp" && not conservative in
+          if parallel then launched := true;
+          let inject_fault, inject_hang = Core.Fault.runtime_injection plan in
+          let on_failure = function
+            | Runtime.Exec.Timeout _ as e ->
+              (* the bound came from the job deadline: this is a job-level
+                 timeout, not a degradable runtime hiccup *)
+              raise e
+            | e ->
+              log
+                (Printf.sprintf
+                   "parallel runtime failed (%s); degrading to the serial \
+                    interpreter"
+                   (describe e))
+          in
+          match
+            Runtime.Rung.run ~on_failure ~parallel ~domains:job.domains
+              ?schedule:(Runtime.Schedule.of_string job.schedule)
+              ~inject_fault ~inject_hang ~timeout_ms:(remaining_ms ()) m entry
+              job.sizes
+          with
+          | Error msg -> failwith msg
+          | Ok o ->
+            List.iter log
+              (Runtime.Rung.report_lines ~entry ~domains:job.domains o);
+            let runtime_degraded =
+              match o.Runtime.Rung.path with
+              | Runtime.Rung.Degraded { leaked; _ } ->
+                count_teardown t ~leaked;
+                true
+              | Runtime.Rung.Serial _ | Runtime.Rung.Parallel _ -> false
+            in
+            ( Runtime.Rung.checksum_of_args o.Runtime.Rung.args
+            , runtime_degraded )
+        end
+      in
+      let o =
+        { Proto.exit_code = (if degraded || runtime_degraded then 1 else 0)
+        ; checksum
+        ; cached = false
+        ; retries = 0
+        ; breaker = conservative
+        ; log = Buffer.contents logb
+        }
+      in
       (* integrity seal: hash the artifact, then verify before it may
          be cached or returned.  serve:corrupt flips a byte in between,
          which the verification must catch. *)
@@ -585,11 +498,7 @@ let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
           in
           let exn_text = describe e in
           let backtrace = Printexc.get_backtrace () in
-          if !launched then begin
-            let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-            t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-            t.stats.leaked_domains <- t.stats.leaked_domains + leaked
-          end;
+          if !launched then rebuild_pool t ~domains:job.domains;
           Breaker.record_failure t.breaker hash;
           let bundle =
             write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no:1
@@ -617,11 +526,7 @@ let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
             in
             let exn_text = describe e in
             let backtrace = Printexc.get_backtrace () in
-            if !launched then begin
-              let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-              t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-              t.stats.leaked_domains <- t.stats.leaked_domains + leaked
-            end;
+            if !launched then rebuild_pool t ~domains:job.domains;
             Breaker.record_failure t.breaker hash;
             let bundle =
               write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no

@@ -193,6 +193,37 @@ let cli_checks (driver : string) =
        (Sys.readdir rt_dir);
      Sys.rmdir rt_dir
    with Sys_error _ -> ());
+  (* a runtime bundle recorded under --cpuify inner-parallel replays
+     under the same lowering, so its failure reproduces *)
+  let ip_dir = Filename.temp_file "faults" ".ipcrash" in
+  Sys.remove ip_dir;
+  let code, _ =
+    run
+      (Printf.sprintf
+         "--cuda-lower --cpuify inner-parallel --run run --size 128 --exec \
+          parallel --domains 4 --inject-fault runtime:raise --crash-dir %s"
+         (Filename.quote ip_dir))
+  in
+  if code <> 1 then
+    fail "CLI: inner-parallel runtime fault exited %d, want 1\n" code;
+  (match try Sys.readdir ip_dir with Sys_error _ -> [||] with
+   | [||] -> fail "CLI: no inner-parallel runtime crash bundle was written\n"
+   | ip_bundles ->
+     Array.iter
+       (fun bundle ->
+         let code =
+           sh
+             (Printf.sprintf "%s --replay %s > %s 2>/dev/null"
+                (Filename.quote driver)
+                (Filename.quote (Filename.concat ip_dir bundle))
+                (Filename.quote tmp))
+         in
+         if code <> 0 then
+           fail "CLI: inner-parallel --replay %s exited %d, want 0\n" bundle
+             code;
+         Sys.remove (Filename.concat ip_dir bundle))
+       ip_bundles;
+     Sys.rmdir ip_dir);
   (* the fuzz subcommand: a tiny fixed-seed campaign on a healthy build
      finds nothing and exits 0 (the real budget lives in @fuzz-smoke) *)
   let code =

@@ -107,6 +107,22 @@ let test_free_values () =
     "op1 result is not free" false
     (Value.Set.mem (Op.result op1) free)
 
+(* Concurrent compiles (one per serve lane) allocate SSA values from
+   several domains at once: every id must still be distinct. *)
+let test_fresh_ids_distinct_across_domains () =
+  let per_domain = 100_000 in
+  let ids =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Array.init per_domain (fun _ -> (Value.fresh scalar_f32).Value.id)))
+    |> List.map Domain.join |> Array.concat
+  in
+  Array.sort compare ids;
+  let dups = ref 0 in
+  Array.iteri (fun i id -> if i > 0 && ids.(i - 1) = id then incr dups) ids;
+  Alcotest.(check int) "ids allocated" (4 * per_domain) (Array.length ids);
+  Alcotest.(check int) "duplicate ids" 0 !dups
+
 let tests =
   [ Alcotest.test_case "verify ok" `Quick test_verify_ok
   ; Alcotest.test_case "verify rejects use-before-def" `Quick
@@ -116,4 +132,6 @@ let tests =
   ; Alcotest.test_case "printer structure" `Quick test_printer_mentions_structure
   ; Alcotest.test_case "clone remaps values" `Quick test_clone_remaps_values
   ; Alcotest.test_case "free values" `Quick test_free_values
+  ; Alcotest.test_case "fresh ids distinct across 4 domains" `Quick
+      test_fresh_ids_distinct_across_domains
   ]

@@ -233,61 +233,44 @@ let test_bundle_roundtrip () =
     Alcotest.(check string) "source" b.source b'.source;
     Alcotest.(check string) "ir_before" b.ir_before b'.ir_before
 
-(* Bundles written before the format grew the runtime line (v1) must
-   still parse: version 1, no runtime configuration. *)
-let test_bundle_v1_accepted () =
-  let v1_text =
-    String.concat "\n"
-      [ "polygeist-cpu crash bundle v1"
-      ; "stage: cpuify"
-      ; "stage-index: 5"
-      ; "rung: no-mincut"
-      ; "exception: Fault.Injected(\"cpuify:raise\")"
-      ; "repro: polygeist-cpu old.cu -cuda-lower"
-      ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
-      ; "faults: cpuify:raise"
-      ; "=== source ==="
-      ; "__global__ void k() {}"
-      ; "=== pre-stage ir ==="
-      ; "module {"
-      ; "}"
-      ]
+(* Only the current format parses: the retired v1/v2 headers (and any
+   other first line) are an Error, never an exception.  A current
+   bundle without a serve line — what the one-shot CLI writes for a
+   runtime failure — parses with its runtime configuration kept. *)
+let test_bundle_old_headers_rejected () =
+  let body =
+    [ "stage: runtime"
+    ; "stage-index: 0"
+    ; "rung: runtime"
+    ; "exception: injected fault"
+    ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
+    ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
+    ; "faults: runtime:raise"
+    ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,\
+       timeout-ms=500"
+    ; "=== source ==="
+    ; "__global__ void k() {}"
+    ; "=== pre-stage ir ==="
+    ; "module {"
+    ; "}"
+    ]
   in
-  match Core.Crashbundle.of_string v1_text with
-  | Error e -> Alcotest.failf "v1 bundle rejected: %s" e
+  let with_header h = String.concat "\n" (h :: body) in
+  List.iter
+    (fun h ->
+      match Core.Crashbundle.of_string (with_header h) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "header %S must be rejected" h)
+    [ "polygeist-cpu crash bundle v1"
+    ; "polygeist-cpu crash bundle v2"
+    ; "polygeist-cpu crash bundle v9"
+    ; ""
+    ];
+  match
+    Core.Crashbundle.of_string (with_header "polygeist-cpu crash bundle v3")
+  with
+  | Error e -> Alcotest.failf "current bundle rejected: %s" e
   | Ok b ->
-    Alcotest.(check int) "version" 1 b.Core.Crashbundle.version;
-    Alcotest.(check string) "stage" "cpuify" b.Core.Crashbundle.stage;
-    Alcotest.(check bool) "no runtime cfg" true
-      (b.Core.Crashbundle.runtime = None);
-    Alcotest.(check string) "faults" "cpuify:raise"
-      (Core.Fault.plan_to_string b.Core.Crashbundle.faults)
-
-(* Bundles written before the format grew the serve line (v2) must still
-   parse: version 2, runtime configuration kept, no serve context. *)
-let test_bundle_v2_accepted () =
-  let v2_text =
-    String.concat "\n"
-      [ "polygeist-cpu crash bundle v2"
-      ; "stage: runtime"
-      ; "stage-index: 0"
-      ; "rung: runtime"
-      ; "exception: injected fault"
-      ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
-      ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
-      ; "faults: runtime:raise"
-      ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,timeout-ms=500"
-      ; "=== source ==="
-      ; "__global__ void k() {}"
-      ; "=== pre-stage ir ==="
-      ; "module {"
-      ; "}"
-      ]
-  in
-  match Core.Crashbundle.of_string v2_text with
-  | Error e -> Alcotest.failf "v2 bundle rejected: %s" e
-  | Ok b ->
-    Alcotest.(check int) "version" 2 b.Core.Crashbundle.version;
     Alcotest.(check bool) "runtime cfg kept" true
       (b.Core.Crashbundle.runtime <> None);
     Alcotest.(check bool) "no serve cfg" true (b.Core.Crashbundle.serve = None)
@@ -357,6 +340,75 @@ let test_unrecoverable_is_error () =
     Alcotest.(check int) "three failures recorded" 3
       (List.length report.failures)
 
+let lower ?faults mode m =
+  match Core.Passmgr.lower ?faults ~mode m with
+  | Ok report -> report
+  | Error e -> Alcotest.failf "lower: %s" (Core.Passmgr.lower_error_to_string e)
+
+let rung_checksum ?inject_fault ?on_failure ~parallel m =
+  match
+    Runtime.Rung.run ?inject_fault ?on_failure ~parallel ~domains:2 m "run"
+      [ 128 ]
+  with
+  | Ok o -> o
+  | Error e -> Alcotest.fail e
+
+(* The OpenMP options are chosen in one place: once the whole-pipeline
+   fallback engaged, the module is the no-opt lowering whatever mode was
+   asked for, so its OpenMP step must be the no-opt one too. *)
+let test_lower_fallback_is_no_opt () =
+  let src = reduce_src () in
+  let m_par = compile src in
+  let r =
+    lower
+      ~faults:[ ("cpuify", Core.Fault.Raise); ("cpuify", Core.Fault.Raise) ]
+      Core.Passmgr.Inner_parallel m_par
+  in
+  Alcotest.(check string) "deepest rung" "no-opt-fallback"
+    (Core.Passmgr.rung_to_string (Core.Passmgr.deepest r));
+  let m_no_opt = compile src in
+  ignore (lower Core.Passmgr.No_opt m_no_opt);
+  Alcotest.(check bool) "structurally the no-opt lowering" true
+    (Ir.Clone.structural_equal m_par m_no_opt);
+  let ck m =
+    Runtime.Rung.checksum_of_args (rung_checksum ~parallel:true m).args
+  in
+  Alcotest.(check string) "same checksum" (ck m_no_opt) (ck m_par)
+
+let test_modes_round_trip () =
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check string) "to_string" name
+        (Core.Passmgr.mode_to_string mode);
+      Alcotest.(check bool) "of_string" true
+        (Core.Passmgr.mode_of_string name = Some mode))
+    Core.Passmgr.modes;
+  Alcotest.(check bool) "unknown mode" true
+    (Core.Passmgr.mode_of_string "full" = None)
+
+(* The runtime rung: a failed parallel run degrades to the serial
+   interpreter on fresh arguments with the same checksum; a policy that
+   raises from [on_failure] abandons the fallback. *)
+let test_runtime_rung () =
+  let m = compile (reduce_src ()) in
+  ignore (lower Core.Passmgr.Inner_serial m);
+  let serial = rung_checksum ~parallel:false m in
+  let degraded = rung_checksum ~parallel:true ~inject_fault:true m in
+  (match degraded.path with
+   | Runtime.Rung.Degraded { cause = Runtime.Exec.Injected; _ } -> ()
+   | _ -> Alcotest.fail "expected the serial fallback after an injected fault");
+  Alcotest.(check string) "fallback checksum"
+    (Runtime.Rung.checksum_of_args serial.args)
+    (Runtime.Rung.checksum_of_args degraded.args);
+  (match
+     rung_checksum ~parallel:true ~inject_fault:true ~on_failure:raise m
+   with
+   | _ -> Alcotest.fail "on_failure raised, yet the fallback ran"
+   | exception Runtime.Exec.Injected -> ());
+  match Runtime.Rung.run ~parallel:false ~domains:1 m "missing" [] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a missing entry must be an Error"
+
 let tests =
   [ Alcotest.test_case "clean pipeline: no degradation" `Quick test_clean
   ; Alcotest.test_case "cpuify raise -> no-mincut rung" `Quick
@@ -372,12 +424,16 @@ let tests =
   ; Alcotest.test_case "snapshot / restore / structural_equal" `Quick
       test_snapshot_restore
   ; Alcotest.test_case "crash bundle round-trip" `Quick test_bundle_roundtrip
-  ; Alcotest.test_case "v2 crash bundle still accepted" `Quick
-      test_bundle_v2_accepted
-  ; Alcotest.test_case "v1 crash bundle still accepted" `Quick
-      test_bundle_v1_accepted
+  ; Alcotest.test_case "retired crash bundle headers rejected" `Quick
+      test_bundle_old_headers_rejected
   ; Alcotest.test_case "crash bundle replays deterministically" `Quick
       test_bundle_replay
   ; Alcotest.test_case "unrecoverable pipeline returns Error" `Quick
       test_unrecoverable_is_error
+  ; Alcotest.test_case "lower: fallback under inner-parallel is no-opt" `Quick
+      test_lower_fallback_is_no_opt
+  ; Alcotest.test_case "lower: modes round-trip their names" `Quick
+      test_modes_round_trip
+  ; Alcotest.test_case "runtime rung: failure degrades to serial" `Quick
+      test_runtime_rung
   ]

@@ -136,55 +136,27 @@ let test_proto_roundtrip () =
     ; Serve.Proto.Overloaded { depth = 32; cap = 32 }
     ; Serve.Proto.Rejected "draining"
     ];
-  (match Serve.Proto.request_of_string "polygeist-serve/9 nonsense\n" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "unknown request kind must be rejected")
-
-(* Version-1 frames (no id line) predate the fleet; an old client or a
-   recorded frame must still parse, with id 0. *)
-let test_proto_v1_compat () =
-  let job =
-    { Serve.Proto.source = "__global__ void k() {}\n"
-    ; entry = None
-    ; sizes = []
-    ; mode = "inner-serial"
-    ; exec = "interp"
-    ; domains = 2
-    ; schedule = "static"
-    ; faults = ""
-    }
-  in
-  (match
-     Serve.Proto.request_of_string
-       ("polygeist-serve/1 submit\n" ^ Serve.Proto.job_to_string job)
-   with
-   | Ok (0, Serve.Proto.Submit j) ->
-     Alcotest.(check bool) "v1 submit parses, id 0" true (j = job)
-   | _ -> Alcotest.fail "v1 submit frame did not parse");
-  (match Serve.Proto.request_of_string "polygeist-serve/1 shutdown\n" with
-   | Ok (0, Serve.Proto.Shutdown) -> ()
-   | _ -> Alcotest.fail "v1 shutdown frame did not parse");
-  let o =
-    { Serve.Proto.exit_code = 0
-    ; checksum = "1.5"
-    ; cached = false
-    ; retries = 0
-    ; breaker = false
-    ; log = "ok\n"
-    }
-  in
+  (* unknown kinds and the retired version-1 frames are errors, never
+     exceptions *)
+  List.iter
+    (fun frame ->
+      match Serve.Proto.request_of_string frame with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "request %S must be rejected" frame)
+    [ "polygeist-serve/9 nonsense\n"
+    ; "polygeist-serve/1 submit\n" ^ Serve.Proto.job_to_string job
+    ; "polygeist-serve/1 shutdown\n"
+    ];
   (match
      Serve.Proto.response_of_string
-       ("polygeist-serve/1 done\n" ^ Serve.Proto.outcome_to_string o)
+       ("polygeist-serve/1 done\n" ^ Serve.Proto.outcome_to_string outcome)
    with
-   | Ok (0, Serve.Proto.Done o') ->
-     Alcotest.(check bool) "v1 done parses, id 0" true (o' = o)
-   | _ -> Alcotest.fail "v1 done frame did not parse");
-  (* the id lives in the response envelope, NOT the cached artifact:
-     v2 must not have changed the cache payload bytes *)
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "version-1 response must be rejected");
+  (* the id lives in the response envelope, NOT the cached artifact *)
   Alcotest.(check bool) "outcome payload has no id field" true
     (not
-       (String.split_on_char '\n' (Serve.Proto.outcome_to_string o)
+       (String.split_on_char '\n' (Serve.Proto.outcome_to_string outcome)
         |> List.exists (fun l ->
             String.length l >= 3 && String.sub l 0 3 = "id=")))
 
@@ -247,8 +219,16 @@ let test_cache_wal_durability () =
    every complete record, skip (and count) the torn one. *)
 let test_cache_journal_truncation () =
   let dir = fresh_tmp_dir () in
+  (* a retired cache-index.v1 file is not a journal: nothing loads *)
+  Sys.mkdir dir 0o755;
+  let legacy = "legacy payload" in
+  Out_channel.with_open_text (Filename.concat dir "cache-index.v1") (fun oc ->
+      Out_channel.output_string oc
+        (Printf.sprintf "polygeist-serve cache index v1\noldkey %s %s\n"
+           (Digest.to_hex (Digest.string legacy))
+           legacy));
   let c = Serve.Cache.create () in
-  ignore (Serve.Cache.load c ~dir);
+  Alcotest.(check int) "legacy v1 index not loaded" 0 (Serve.Cache.load c ~dir);
   Serve.Cache.store c "k1" "first payload";
   Serve.Cache.store c "k2" "second payload";
   Serve.Cache.close c;
@@ -354,28 +334,6 @@ let test_cache_journal_generations () =
   Alcotest.(check (option string)) "pre-compaction entry superseded" None
     (Serve.Cache.find c3 "old");
   Serve.Cache.close c3
-
-(* The legacy flush-on-shutdown index still loads when no journal
-   exists, and the first load migrates it into a journal. *)
-let test_cache_v1_index_compat () =
-  let dir = fresh_tmp_dir () in
-  Sys.mkdir dir 0o755;
-  let payload = "legacy payload\nwith a second line" in
-  let d = Digest.to_hex (Digest.string payload) in
-  Out_channel.with_open_text (Filename.concat dir "cache-index.v1") (fun oc ->
-      Out_channel.output_string oc
-        (Printf.sprintf "polygeist-serve cache index v1\n%s %s %s\n" "oldkey" d
-           (String.escaped payload)));
-  let c = Serve.Cache.create () in
-  Alcotest.(check int) "v1 index loads without a journal" 1
-    (Serve.Cache.load c ~dir);
-  Alcotest.(check (option string)) "v1 entry verifies and serves"
-    (Some payload) (Serve.Cache.find c "oldkey");
-  (* a store after migration lands in the new journal *)
-  Serve.Cache.store c "newkey" "journaled";
-  Serve.Cache.close c;
-  Alcotest.(check bool) "journal created alongside the v1 index" true
-    (Sys.file_exists (Filename.concat dir "cache-journal.v2"))
 
 (* Corrupt artifacts are quarantined on disk, not silently dropped. *)
 let test_cache_quarantine () =
@@ -669,8 +627,6 @@ let tests =
   ; QCheck_alcotest.to_alcotest test_deterministic_never_retried
   ; QCheck_alcotest.to_alcotest test_transient_bounded
   ; Alcotest.test_case "protocol round trips" `Quick test_proto_roundtrip
-  ; Alcotest.test_case "protocol v1 frames still parse (id 0)" `Quick
-      test_proto_v1_compat
   ; Alcotest.test_case "cache never serves corruption" `Quick
       test_cache_corruption
   ; Alcotest.test_case "cache journal: stores durable without flush" `Quick
@@ -681,8 +637,6 @@ let tests =
       test_cache_journal_duplicates
   ; Alcotest.test_case "cache journal: compaction generations" `Quick
       test_cache_journal_generations
-  ; Alcotest.test_case "cache: legacy v1 index migrates" `Quick
-      test_cache_v1_index_compat
   ; Alcotest.test_case "cache: corrupt artifacts quarantined on disk" `Quick
       test_cache_quarantine
   ; QCheck_alcotest.to_alcotest test_wal_replay_roundtrip
